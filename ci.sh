@@ -75,12 +75,21 @@ echo "==> directory smoke (64-core sharded uncore, SIGKILL kill-and-resume)"
 # sharer sets and per-bank monitors all cross the versioned byte
 # format. The in-process conformance twin ({16,64} cores, all three
 # engines) runs in crates/conformance; this stage exercises the
-# shipped binary end to end at directory scale, kill included.
+# shipped binary end to end at directory scale, kill included. The
+# uninterrupted run also writes a live heartbeat and a profile CSV,
+# which must validate through `slacksim report`.
 dir_cps="$(mktemp -d /tmp/slacksim-ci-dir.XXXXXX)"
+dir_art="$(mktemp -d /tmp/slacksim-ci-dir-art.XXXXXX)"
 dir_flags=(--uncore directory --cores 64 --benchmark fft --scheme cc \
     --engine threaded --commit 200000 --checkpoint 700)
 dir_baseline="$(./target/release/slacksim "${dir_flags[@]}" \
+    --profile --profile-csv "$dir_art/prof.csv" \
+    --live-status "$dir_art/live.json" --live-every 50 \
     | grep -E '^(execution time|committed|violations)')"
+./target/release/slacksim report "$dir_art/live.json" "$dir_art/prof.csv" \
+    > /dev/null || {
+    echo "ci: directory run artifacts failed report validation" >&2; exit 1; }
+rm -rf "$dir_art"
 ./target/release/slacksim "${dir_flags[@]}" --save-state "$dir_cps" \
     > /dev/null 2>&1 &
 victim=$!
@@ -100,29 +109,6 @@ dir_resumed="$(./target/release/slacksim "${dir_flags[@]}" --resume "$dir_snapsh
     exit 1
 }
 rm -rf "$dir_cps"
-
-echo "==> sharded manager-tree smoke (64-core directory, --shards 4, report validation)"
-# Manager-tree proof on the release binary (DESIGN §18): the same
-# 64-core directory configuration through a 4-way manager tree must
-# reproduce the single-manager report exactly under cycle-by-cycle —
-# the shard count is a host knob, never a simulated-results knob — and
-# the artifacts the sharded run emits (live heartbeat with per-shard
-# forwarding-queue depths, profile CSV with the shard-service site)
-# must validate through `slacksim report`.
-shard_dir="$(mktemp -d /tmp/slacksim-ci-shard.XXXXXX)"
-sharded="$(./target/release/slacksim "${dir_flags[@]}" --shards 4 \
-    --profile --profile-csv "$shard_dir/prof.csv" \
-    --live-status "$shard_dir/live.json" --live-every 50 \
-    | grep -E '^(execution time|committed|violations)')"
-[ "$dir_baseline" = "$sharded" ] || {
-    echo "ci: sharded 64-core report diverged from the single-manager baseline" >&2
-    printf 'baseline:\n%s\nsharded:\n%s\n' "$dir_baseline" "$sharded" >&2
-    exit 1
-}
-./target/release/slacksim report "$shard_dir/live.json" "$shard_dir/prof.csv" \
-    > /dev/null || {
-    echo "ci: sharded run artifacts failed report validation" >&2; exit 1; }
-rm -rf "$shard_dir"
 
 echo "==> bench smoke (engine_throughput, short run, checked against baseline)"
 # Short run into a scratch path, compared against the committed

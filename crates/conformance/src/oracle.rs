@@ -109,35 +109,6 @@ pub fn run_engine_on(
         })
 }
 
-/// [`run_engine_on`] on the threaded engine with a `shards`-way manager
-/// tree — the sharded rows of the conformance matrix run through this.
-///
-/// # Panics
-///
-/// Panics if the engine reports an error.
-pub fn run_engine_sharded(
-    uncore: UncoreKind,
-    bench: Benchmark,
-    cores: usize,
-    scheme: &Scheme,
-    target: u64,
-    seed: u64,
-    shards: usize,
-) -> SimReport {
-    Simulation::new(bench)
-        .uncore(uncore)
-        .cores(cores)
-        .scheme(scheme.clone())
-        .engine(EngineKind::Threaded)
-        .shards(shards)
-        .commit_target(target)
-        .seed(seed)
-        .run()
-        .unwrap_or_else(|e| {
-            panic!("threaded run failed for {bench:?}/{uncore}/{cores} cores/{shards} shards: {e}")
-        })
-}
-
 /// Runs one *speculative* configuration on the given engine with the
 /// native host scheduler. The delta-checkpoint oracle (DESIGN §11)
 /// drives this with the same configuration in both checkpoint modes and
@@ -273,18 +244,11 @@ pub fn run_resumed_on(
 ///
 /// Panics if the engine reports an error.
 pub fn run_virtual(case: &VirtCase) -> (SimReport, SchedDiag) {
-    let sched = VirtualSched::with_shards(
-        case.cores,
-        case.shards,
-        case.policy,
-        case.sched_seed,
-        case.mutation,
-    );
+    let sched = VirtualSched::new(case.cores, case.policy, case.sched_seed, case.mutation);
     let report = Simulation::new(case.bench)
         .cores(case.cores)
         .scheme(case.scheme.clone())
         .engine(EngineKind::Threaded)
-        .shards(case.shards)
         .commit_target(case.target)
         .seed(case.seed)
         .host_sched(SchedRef::new(Arc::clone(&sched) as Arc<_>))
@@ -355,16 +319,6 @@ pub fn shrink<F: Fn(&VirtCase) -> bool>(case: VirtCase, fails: F) -> VirtCase {
             c.cores = 1;
             candidates.push(c);
         }
-        if best.shards > 1 {
-            // Failures that survive without the manager tree are far
-            // easier to chase, so try collapsing to one shard first.
-            let mut c = best.clone();
-            c.shards = 1;
-            candidates.push(c);
-            let mut c = best.clone();
-            c.shards = best.shards - 1;
-            candidates.push(c);
-        }
         if let Scheme::BoundedSlack { bound } = best.scheme {
             if bound > 1 {
                 let mut c = best.clone();
@@ -402,7 +356,6 @@ mod tests {
             mutation: Mutation::DropUnpark { nth: 7 },
             bench: Benchmark::Fft,
             cores: 8,
-            shards: 4,
             scheme: Scheme::BoundedSlack { bound: 16 },
             target: 8_000,
             seed: 1,
@@ -414,15 +367,8 @@ mod tests {
         let shrunk = shrink(case(), |_| true);
         assert_eq!(shrunk.target, 500);
         assert_eq!(shrunk.cores, 1);
-        assert_eq!(shrunk.shards, 1);
         assert_eq!(shrunk.scheme, Scheme::BoundedSlack { bound: 1 });
         assert_eq!(shrunk.mutation, Mutation::DropUnpark { nth: 0 });
-    }
-
-    #[test]
-    fn shrink_keeps_shards_the_failure_needs() {
-        let shrunk = shrink(case(), |c| c.shards >= 2);
-        assert_eq!(shrunk.shards, 2);
     }
 
     #[test]

@@ -406,7 +406,6 @@ where
                         rng: None,
                         bound_trace: &bound_trace,
                         max_spread,
-                        shard_forwarded: Vec::new(),
                     };
                     let bytes = hook(&view).unwrap_or(0);
                     th.record(

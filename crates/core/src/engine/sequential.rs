@@ -609,7 +609,6 @@ where
                                 rng: Some(&rng),
                                 bound_trace: &bound_trace,
                                 max_spread,
-                                shard_forwarded: Vec::new(),
                             };
                             let bytes = hook(&view).unwrap_or(0);
                             th.record(

@@ -33,17 +33,6 @@
 //! * Waiting is an adaptive ladder — spin, then `yield_now`, then
 //!   park/unpark with a timeout backstop — for both core threads capped by
 //!   the window and the manager when no core made progress.
-//! * With `shards > 1` (see DESIGN.md §18) the manager becomes a two-level
-//!   tree: shard-manager threads each consolidate a contiguous run of
-//!   cores' OutQs into a per-shard forwarding ring and publish a
-//!   conservative clock floor; the root manager (shard 0, folded into the
-//!   classic manager loop) reconciles the floors into the slack window,
-//!   drains the forwarding rings into the global queue, and keeps sole
-//!   ownership of servicing, checkpointing and window publication. Every
-//!   ring stays strictly SPSC; stop-sync paths pause the shard tier first
-//!   (channel acks hand the ring-consumer role to the root). `--shards 1`
-//!   builds none of this and is byte-identical to the single-manager
-//!   engine.
 
 use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
@@ -204,369 +193,6 @@ fn send_cmd<C: CoreModel + Checkpointable>(
     s.cmd_pending.store(true, Ordering::SeqCst);
     tx.send(cmd).expect("core alive");
     wake_core(s, sched);
-}
-
-/// Commands the root manager sends to a shard-manager thread
-/// (threaded engine with `shards > 1`).
-enum ShardCmd {
-    /// Forward everything visible, acknowledge, and hold: until `Resume`
-    /// arrives the root owns the shard's rings (the forwarding ring and
-    /// its cores' OutQs) — the channel ack is the role handoff, exactly
-    /// like the core stop-sync protocol.
-    Pause,
-    /// Leave the control sub-loop and return to forwarding.
-    Resume,
-}
-
-/// State shared between the root manager and one shard-manager thread.
-///
-/// A shard-manager owns a contiguous run of cores and runs the
-/// consolidation half of the manager loop locally: it drains its cores'
-/// OutQs into `fwd` (tagging each event with its producing core) and
-/// publishes a conservative clock floor. The root folds every shard's
-/// floor into its window arithmetic (see
-/// [`reconcile_shard_floor`](crate::scheme::reconcile_shard_floor)) and
-/// is the only consumer of `fwd`, so every ring stays strictly SPSC.
-struct ShardShared<C: CoreModel> {
-    /// Shard produces, root consumes: the shard's cores' events, each
-    /// tagged with its producing core so the root can feed the global
-    /// queue without knowing the shard split.
-    fwd: SpscRing<(CoreId, Timestamped<C::Event>)>,
-    /// Conservative floor: every event the shard's cores produced below
-    /// this cycle has been pushed into `fwd`. Release-stored after the
-    /// push, so the root's Acquire load followed by a ring drain observes
-    /// them all.
-    min_time: AtomicU64,
-    /// Cumulative events forwarded (host-side telemetry; carried across
-    /// checkpoint/resume via `CheckpointView::shard_forwarded`).
-    forwarded: AtomicU64,
-    /// True while the shard thread is (about to be) parked.
-    parked: AtomicBool,
-    /// Same lost-wakeup guard as [`CoreShared::cmd_pending`].
-    cmd_pending: AtomicBool,
-    /// The shard thread's scheduler task.
-    task: OnceLock<TaskId>,
-    /// Number of times the shard thread reached the park tier.
-    parks: AtomicU64,
-}
-
-/// Unparks the shard thread behind `sh` if it is parked (or about to
-/// park). Same fence pairing as [`wake_core`].
-fn wake_shard<C: CoreModel>(sh: &ShardShared<C>, sched: &dyn HostSched) {
-    fence(Ordering::SeqCst);
-    if sh.parked.load(Ordering::Relaxed) && sh.parked.swap(false, Ordering::SeqCst) {
-        if let Some(&t) = sh.task.get() {
-            sched.unpark(t);
-        }
-    }
-}
-
-/// Sends a command to a shard with the same park-safe wake-up protocol as
-/// [`send_cmd`].
-fn send_shard_cmd<C: CoreModel>(
-    sh: &ShardShared<C>,
-    tx: &Sender<ShardCmd>,
-    cmd: ShardCmd,
-    sched: &dyn HostSched,
-) {
-    sh.cmd_pending.store(true, Ordering::SeqCst);
-    tx.send(cmd).expect("shard alive");
-    wake_shard(sh, sched);
-}
-
-/// The root manager's handle on the shard tier. Empty when `shards == 1`:
-/// every helper then degrades to the classic single-manager behaviour
-/// (`k0 == n`, no forwarding rings, floors trivially satisfied), keeping
-/// the default configuration on the exact pre-shard code path.
-struct ShardSet<C: CoreModel + Checkpointable> {
-    /// Remote shards `1..S` (shard 0 is folded into the root).
-    shards: Vec<Arc<ShardShared<C>>>,
-    cmd_txs: Vec<Sender<ShardCmd>>,
-    ack_rxs: Vec<Receiver<()>>,
-    /// Cores the root consolidates directly (`shared[..k0]`).
-    k0: usize,
-    /// `shard_forwarded` total carried from a resumed snapshot taken
-    /// under a different shard split (per-shard seeding is impossible, so
-    /// the sum keeps the aggregate counter monotone).
-    resume_base: u64,
-    /// Per-shard forwarded counts captured at the last pause — the
-    /// values a checkpoint persists, exact because shards are always
-    /// paused while a checkpoint is taken.
-    paused_forwarded: Vec<u64>,
-    /// Scratch for forwarding-ring drains.
-    buf: Vec<(CoreId, Timestamped<C::Event>)>,
-}
-
-impl<C: CoreModel + Checkpointable> ShardSet<C> {
-    /// The single-manager configuration: no remote shards, the root owns
-    /// all `n` cores.
-    fn solo(n: usize) -> Self {
-        ShardSet {
-            shards: Vec::new(),
-            cmd_txs: Vec::new(),
-            ack_rxs: Vec::new(),
-            k0: n,
-            resume_base: 0,
-            paused_forwarded: Vec::new(),
-            buf: Vec::new(),
-        }
-    }
-
-    fn is_empty(&self) -> bool {
-        self.shards.is_empty()
-    }
-
-    /// Drains every (visible) forwarded event into the global queue. The
-    /// root is the forwarding rings' only consumer, so this is equally
-    /// legal in steady state and mid-pause. Per-core FIFO order is
-    /// preserved end to end (core OutQ → shard drain → `fwd` → here), so
-    /// the global queue's `(ts, core, seq)` order — and with it
-    /// cycle-by-cycle determinism — is independent of shard interleaving.
-    fn drain_forward(&mut self, gq: &mut GlobalQueue<C::Event>) -> usize {
-        let mut total = 0;
-        for sh in &self.shards {
-            self.buf.clear();
-            if sh.fwd.drain_into(&mut self.buf) > 0 {
-                total += self.buf.len();
-                for (from, ev) in self.buf.drain(..) {
-                    gq.push(from, ev);
-                }
-            }
-        }
-        total
-    }
-
-    /// Steady-state consolidation: the root's own cores' OutQs plus every
-    /// shard's forwarding ring.
-    fn drain_steady(
-        &mut self,
-        shared: &[Arc<CoreShared<C>>],
-        gq: &mut GlobalQueue<C::Event>,
-        drain_buf: &mut Vec<Timestamped<C::Event>>,
-    ) -> usize {
-        let direct = drain_outqs(&shared[..self.k0], gq, drain_buf);
-        direct + self.drain_forward(gq)
-    }
-
-    /// The slack floor greedy window publication paces against: the
-    /// root's own cores' minimum reconciled with every shard's published
-    /// floor. With no shards this is exactly the global minimum, so the
-    /// single-manager window arithmetic is unchanged.
-    fn floor(&self, locals: &[u64]) -> Cycle {
-        let root_min = locals[..self.k0].iter().copied().min().expect("k0 >= 1");
-        crate::scheme::reconcile_shard_floor(
-            std::iter::once(Cycle::new(root_min)).chain(
-                self.shards
-                    .iter()
-                    .map(|sh| Cycle::new(sh.min_time.load(Ordering::Acquire))),
-            ),
-        )
-        .expect("at least the root floor")
-    }
-
-    /// True when every shard has published a floor at or past `c`
-    /// (trivially true with no shards) — the barrier flush gate: combined
-    /// with all locals at the boundary it guarantees every event below
-    /// the boundary is visible in the forwarding rings.
-    fn flushed_to(&self, c: Cycle) -> bool {
-        self.shards
-            .iter()
-            .all(|sh| sh.min_time.load(Ordering::Acquire) >= c.as_u64())
-    }
-
-    /// Pauses every shard: each forwards its remaining visible events,
-    /// acknowledges, and blocks until [`resume`](Self::resume). Also
-    /// captures the per-shard forwarded counts for checkpoint persist.
-    fn pause(&mut self, sched: &dyn HostSched) {
-        if self.shards.is_empty() {
-            return;
-        }
-        for (sh, tx) in self.shards.iter().zip(&self.cmd_txs) {
-            send_shard_cmd(sh, tx, ShardCmd::Pause, sched);
-        }
-        let virt = sched.virtualized();
-        for rx in &self.ack_rxs {
-            if !virt {
-                rx.recv().expect("shard alive");
-            } else {
-                loop {
-                    match rx.try_recv() {
-                        Ok(()) => break,
-                        Err(TryRecvError::Empty) => sched.idle_yield(SchedSite::AwaitAck),
-                        Err(TryRecvError::Disconnected) => panic!("shard alive"),
-                    }
-                }
-            }
-        }
-        self.paused_forwarded.clear();
-        self.paused_forwarded.extend(
-            self.shards
-                .iter()
-                .map(|sh| sh.forwarded.load(Ordering::Relaxed)),
-        );
-    }
-
-    /// Discards every forwarded-but-unserviced event (rollback path; the
-    /// shards must be paused).
-    fn clear_forward(&self) {
-        for sh in &self.shards {
-            sh.fwd.clear();
-        }
-    }
-
-    /// Re-seeds every shard's floor while paused (rollback rewinds it to
-    /// the checkpoint; stop-syncs advance it to the common stop point so
-    /// the first post-resume window does not shrink to a stale floor).
-    fn set_floors(&self, c: Cycle) {
-        for sh in &self.shards {
-            sh.min_time.store(c.as_u64(), Ordering::Release);
-        }
-    }
-
-    /// Sends `Resume` to every (paused) shard.
-    fn resume(&self, sched: &dyn HostSched) {
-        for (sh, tx) in self.shards.iter().zip(&self.cmd_txs) {
-            send_shard_cmd(sh, tx, ShardCmd::Resume, sched);
-        }
-    }
-}
-
-/// One shard consolidation pass: read the owned cores' clocks (the
-/// floor), drain their OutQs into the forwarding ring tagged with the
-/// producing core, then publish the floor. Reading the clocks *before*
-/// draining is what makes the floor conservative: a core Release-stores
-/// its clock only after pushing that tick's events, so every event below
-/// the floor read here is already visible to the drain that follows.
-/// Returns how many events moved and whether the floor advanced.
-fn forward_shard<C: CoreModel + Checkpointable>(
-    owned: &[Arc<CoreShared<C>>],
-    sh: &ShardShared<C>,
-    base: u16,
-    buf: &mut Vec<(CoreId, Timestamped<C::Event>)>,
-) -> (usize, bool) {
-    let floor = owned
-        .iter()
-        .map(|s| s.local.load(Ordering::Acquire))
-        .min()
-        .expect("shard owns >= 1 core");
-    buf.clear();
-    let mut moved = 0;
-    for (j, s) in owned.iter().enumerate() {
-        let id = CoreId::new(base + j as u16);
-        moved += s.outq.drain_map_into(buf, |ev| (id, ev));
-    }
-    if moved > 0 {
-        sh.fwd.push_batch(buf);
-        sh.forwarded.fetch_add(moved as u64, Ordering::Relaxed);
-    }
-    let advanced = sh.min_time.load(Ordering::Relaxed) < floor;
-    sh.min_time.store(floor, Ordering::Release);
-    (moved, advanced)
-}
-
-/// Shard-manager thread main loop (threaded engine with `shards > 1`):
-/// consolidate the owned cores' OutQs toward the root, publish the
-/// shard's floor, obey root pause/resume commands, exit when the done
-/// flag rises. Waiting escalates through the same manager-profile ladder
-/// (spin → yield → park) with the Dekker pre-park re-check guarding the
-/// command channel.
-#[allow(clippy::too_many_arguments)]
-fn shard_thread<C: CoreModel + Checkpointable>(
-    index: usize,
-    base: u16,
-    owned: &[Arc<CoreShared<C>>],
-    sh: &ShardShared<C>,
-    done: &AtomicBool,
-    cmd_rx: &Receiver<ShardCmd>,
-    ack_tx: &Sender<()>,
-    oversubscribed: bool,
-    sched: &dyn HostSched,
-    ph: ProfHandle,
-) {
-    let virt = sched.virtualized();
-    let task = sched.register(&format!("shard{index}"));
-    let _ = sh.task.set(task);
-    let mut buf: Vec<(CoreId, Timestamped<C::Event>)> = Vec::new();
-    let (spin_iters, yield_iters) = if virt {
-        (0u32, VIRT_YIELD_ITERS)
-    } else if oversubscribed {
-        (0u32, MGR_YIELD_ITERS_OVERSUB)
-    } else {
-        (MGR_SPIN_ITERS, MGR_YIELD_ITERS)
-    };
-    let mut idle = 0u32;
-    'main: loop {
-        sched.point(SchedSite::ShardLoop);
-        // Same clear-before-poll discipline as the core threads: a flag
-        // raised after the clear whose command this poll misses is
-        // re-derived next iteration.
-        sh.cmd_pending.store(false, Ordering::Relaxed);
-        match cmd_rx.try_recv() {
-            Ok(mut cmd) => loop {
-                match cmd {
-                    ShardCmd::Pause => {
-                        let _span = ph.enter(ProfSite::ShardService);
-                        forward_shard(owned, sh, base, &mut buf);
-                        ack_tx.send(()).expect("root alive");
-                    }
-                    ShardCmd::Resume => {
-                        idle = 0;
-                        continue 'main;
-                    }
-                }
-                cmd = if virt {
-                    loop {
-                        match cmd_rx.try_recv() {
-                            Ok(c) => break c,
-                            Err(TryRecvError::Empty) => sched.idle_yield(SchedSite::AwaitCmd),
-                            Err(TryRecvError::Disconnected) => break 'main,
-                        }
-                    }
-                } else {
-                    match cmd_rx.recv() {
-                        Ok(c) => c,
-                        Err(_) => break 'main,
-                    }
-                };
-            },
-            Err(TryRecvError::Empty) => {}
-            Err(TryRecvError::Disconnected) => break 'main,
-        }
-        if done.load(Ordering::Acquire) {
-            break 'main;
-        }
-        let (moved, advanced) = {
-            let _span = ph.enter(ProfSite::ShardService);
-            forward_shard(owned, sh, base, &mut buf)
-        };
-        if moved > 0 || advanced {
-            idle = 0;
-            continue;
-        }
-        idle = idle.saturating_add(1);
-        if idle <= spin_iters {
-            let _span = ph.enter(ProfSite::ManagerWaitSpin);
-            sched.idle_spin(SchedSite::ShardIdle);
-        } else if idle <= spin_iters + yield_iters {
-            let _span = ph.enter(ProfSite::ManagerWaitYield);
-            sched.idle_yield(SchedSite::ShardIdle);
-        } else {
-            let _span = ph.enter(ProfSite::ManagerWaitPark);
-            // Dekker-style publication, mirroring the core pre-park: the
-            // root raises `cmd_pending` before every command send, so
-            // either this re-check sees it or the root's `wake_shard`
-            // sees the parked flag.
-            sh.parked.store(true, Ordering::Relaxed);
-            fence(Ordering::SeqCst);
-            sched.point(SchedSite::PreParkCheck);
-            if !done.load(Ordering::Relaxed) && !sh.cmd_pending.load(Ordering::Relaxed) {
-                sh.parks.fetch_add(1, Ordering::Relaxed);
-                sched.park_timeout(SchedSite::ShardIdle, MGR_PARK_TIMEOUT);
-            }
-            sh.parked.store(false, Ordering::Relaxed);
-        }
-    }
-    sched.unregister();
 }
 
 /// The manager's adaptive wait ladder: spin, then yield, then park with a
@@ -775,7 +401,6 @@ where
         let mut start_committed = 0u64;
         let mut pacer = cfg.scheme.clone().into_pacer();
         let mut mgr_resume: Option<ManagerResume> = None;
-        let mut resume_shard_forwarded: Vec<u64> = Vec::new();
         if let Some(res) = resume {
             if res.cores.len() != n {
                 return Err(EngineError::Resume(format!(
@@ -792,7 +417,6 @@ where
             uncore = res.uncore;
             pacer = res.pacer;
             start_committed = res.committed;
-            resume_shard_forwarded = res.shard_forwarded;
             mgr_resume = Some(ManagerResume {
                 global: res.global,
                 tally: res.tally,
@@ -825,64 +449,6 @@ where
         let done = Arc::new(AtomicBool::new(false));
         let committed = Arc::new(AtomicU64::new(start_committed));
 
-        // Manager tree: `shards` (clamped to the core count) contiguous
-        // shards of `n / S` cores each, the remainder spread over the
-        // first shards. Shard 0 is folded into the root manager; shards
-        // `1..S` get their own consolidation thread. `shards == 1` builds
-        // no machinery at all and runs the classic single-manager loop.
-        let shard_count = cfg.shards.clamp(1, n);
-        let s_extra = shard_count - 1;
-        let shard_splits: Vec<(usize, usize)> = {
-            let mut splits = Vec::with_capacity(s_extra);
-            let mut start = n / shard_count + usize::from(n % shard_count > 0);
-            for s in 1..shard_count {
-                let len = n / shard_count + usize::from(s < n % shard_count);
-                splits.push((start, len));
-                start += len;
-            }
-            splits
-        };
-        let k0 = shard_splits.first().map_or(n, |&(start, _)| start);
-        let shard_shared: Vec<Arc<ShardShared<C>>> = (0..s_extra)
-            .map(|_| {
-                Arc::new(ShardShared {
-                    fwd: SpscRing::with_sched(hook.clone()),
-                    min_time: AtomicU64::new(start_global),
-                    forwarded: AtomicU64::new(0),
-                    parked: AtomicBool::new(false),
-                    cmd_pending: AtomicBool::new(false),
-                    task: OnceLock::new(),
-                    parks: AtomicU64::new(0),
-                })
-            })
-            .collect();
-        // Resume continuity for the forwarded counters: an identical
-        // split re-seeds each shard exactly; a different split folds the
-        // snapshot's total into an aggregate base so the reported counter
-        // stays monotone across the resume.
-        let mut shard_resume_base = 0u64;
-        if !resume_shard_forwarded.is_empty() {
-            if resume_shard_forwarded.len() == s_extra {
-                for (sh, &f) in shard_shared.iter().zip(&resume_shard_forwarded) {
-                    sh.forwarded.store(f, Ordering::Relaxed);
-                }
-            } else {
-                shard_resume_base = resume_shard_forwarded.iter().sum();
-            }
-        }
-        let mut shard_cmd_txs: Vec<Sender<ShardCmd>> = Vec::with_capacity(s_extra);
-        let mut shard_cmd_rxs: Vec<Receiver<ShardCmd>> = Vec::with_capacity(s_extra);
-        let mut shard_ack_txs: Vec<Sender<()>> = Vec::with_capacity(s_extra);
-        let mut shard_ack_rxs: Vec<Receiver<()>> = Vec::with_capacity(s_extra);
-        for _ in 0..s_extra {
-            let (ct, cr) = channel();
-            let (at, ar) = channel();
-            shard_cmd_txs.push(ct);
-            shard_cmd_rxs.push(cr);
-            shard_ack_txs.push(at);
-            shard_ack_rxs.push(ar);
-        }
-
         // A disabled tracer keeps every instrumentation site at one relaxed
         // atomic load when no ObsConfig was given.
         let tracer = match cfg.obs {
@@ -900,7 +466,7 @@ where
         // host-time cadence. Cores and the manager only ever issue relaxed
         // stores into it, so enabling a heartbeat never stalls simulation
         // threads.
-        let live_stats = Arc::new(LiveStats::with_shards(s_extra));
+        let live_stats = Arc::new(LiveStats::new());
         live_stats
             .commit_target
             .store(cfg.commit_target, Ordering::Relaxed);
@@ -935,7 +501,7 @@ where
             // std mpsc receivers are single-consumer: each core's command
             // receiver and ack sender are moved into its thread.
             let mut handles = Vec::with_capacity(n);
-            let oversubscribed = host_oversubscribed(n + s_extra);
+            let oversubscribed = host_oversubscribed(n);
             for (i, (((model, inbox), cmd_rx), ack_tx)) in cores
                 .into_iter()
                 .zip(core_inboxes)
@@ -967,56 +533,11 @@ where
                 }));
             }
 
-            // --- Shard-manager threads ---------------------------------------
-            // Spawned after the cores so task names stay grouped; each
-            // owns an Arc'd slice of its cores plus its shared block.
-            let mut shard_handles = Vec::with_capacity(s_extra);
-            for (si, ((cmd_rx, ack_tx), &(start, len))) in shard_cmd_rxs
-                .into_iter()
-                .zip(shard_ack_txs)
-                .zip(&shard_splits)
-                .enumerate()
-            {
-                let owned: Vec<Arc<CoreShared<C>>> =
-                    shared[start..start + len].iter().map(Arc::clone).collect();
-                let sh = Arc::clone(&shard_shared[si]);
-                let done = Arc::clone(&done);
-                let ph = prof.handle();
-                let sched = Arc::clone(&sched);
-                shard_handles.push(scope.spawn(move || {
-                    shard_thread(
-                        si + 1,
-                        start as u16,
-                        &owned,
-                        &sh,
-                        &done,
-                        &cmd_rx,
-                        &ack_tx,
-                        oversubscribed,
-                        &*sched,
-                        ph,
-                    )
-                }));
-            }
-            let mut shardset = if s_extra == 0 {
-                ShardSet::solo(n)
-            } else {
-                ShardSet {
-                    shards: shard_shared.clone(),
-                    cmd_txs: shard_cmd_txs,
-                    ack_rxs: shard_ack_rxs,
-                    k0,
-                    resume_base: shard_resume_base,
-                    paused_forwarded: Vec::new(),
-                    buf: Vec::new(),
-                }
-            };
-
             // --- Manager (this thread) ---------------------------------------
-            // Registration happens after every core and shard is spawned:
-            // a virtual scheduler's `register` blocks until the whole
-            // expected task set has arrived, so registering earlier would
-            // deadlock the spawn loop.
+            // Registration happens after every core is spawned: a virtual
+            // scheduler's `register` blocks until the whole expected task
+            // set has arrived, so registering earlier would deadlock the
+            // spawn loop.
             sched.register("manager");
             let outcome = manager_loop(
                 &cfg,
@@ -1031,15 +552,11 @@ where
                 mgr_resume,
                 &prof,
                 live_on.then_some(&*live_stats),
-                &mut shardset,
             );
 
             done.store(true, Ordering::Release);
             for s in &shared {
                 wake_core(s, &*sched);
-            }
-            for sh in &shard_shared {
-                wake_shard(sh, &*sched);
             }
             // Leave the scheduling discipline before joining: the cores
             // only need the token among themselves to run out their
@@ -1052,9 +569,6 @@ where
             let mut finished_cores = Vec::with_capacity(n);
             for h in handles {
                 finished_cores.push(h.join().expect("core thread panicked"));
-            }
-            for h in shard_handles {
-                h.join().expect("shard thread panicked");
             }
             outcome.map(|mut m| {
                 // The manager samples the aggregate commit count at its
@@ -1095,10 +609,9 @@ where
         }
         let mut report = report;
         if prof.is_enabled() {
-            // n core threads plus the manager and any shard-manager
-            // threads contribute self-time; the denominator of the
-            // coverage figure is wall * threads.
-            report.prof = Some(prof.snapshot(report.wall, (n + s_extra) as u64 + 1));
+            // n core threads plus the manager contribute self-time; the
+            // denominator of the coverage figure is wall * threads.
+            report.prof = Some(prof.snapshot(report.wall, n as u64 + 1));
         }
         Ok(report)
     }
@@ -1572,7 +1085,6 @@ fn manager_loop<C, U>(
     resume: Option<ManagerResume>,
     prof: &Profiler,
     live: Option<&LiveStats>,
-    shardset: &mut ShardSet<C>,
 ) -> Result<ManagerOutcome<U>, EngineError>
 where
     C: CoreModel + Checkpointable,
@@ -1613,7 +1125,7 @@ where
     let mut prev_locals: Vec<u64> = vec![u64::MAX; n];
     let mut drain_buf: Vec<Timestamped<C::Event>> = Vec::new();
     let mut cycles_buf: Vec<Cycle> = Vec::with_capacity(n);
-    let mut backoff = Backoff::new(host_oversubscribed(n + shardset.shards.len()), virt);
+    let mut backoff = Backoff::new(host_oversubscribed(n), virt);
 
     let spec = cfg.speculation;
     let mut tracker = spec.map(|s| IntervalTracker::new(s.interval));
@@ -1660,8 +1172,6 @@ where
     // `merge_snapshot`).
     let mut snapshot: Option<ManagerSnapshot<C, U>> = None;
     if spec.is_some() {
-        shardset.pause(sched);
-        shardset.drain_forward(&mut gq);
         let captures = {
             let _span = ph.enter(ProfSite::CheckpointCapture);
             snapshot_all(
@@ -1676,8 +1186,6 @@ where
                 false,
             )
         };
-        shardset.set_floors(start_global);
-        shardset.resume(sched);
         // Discard side effects of the (empty) drain above.
         let _span = ph.enter(ProfSite::CheckpointApply);
         merge_snapshot(
@@ -1709,7 +1217,7 @@ where
         sched.point(SchedSite::ManagerLoop);
         let drained = {
             let _span = ph.enter(ProfSite::ManagerDrain);
-            shardset.drain_steady(shared, &mut gq, &mut drain_buf)
+            drain_outqs(shared, &mut gq, &mut drain_buf)
         };
         locals.clear();
         locals.extend(shared.iter().map(|s| s.local.load(Ordering::Acquire)));
@@ -1800,21 +1308,13 @@ where
             ls.checkpoints
                 .store(spec_stats.checkpoints, Ordering::Relaxed);
             ls.rollbacks.store(spec_stats.rollbacks, Ordering::Relaxed);
-            for (g, sh) in ls.shard_fwd_depth.iter().zip(&shardset.shards) {
-                g.store(sh.fwd.depth_hint() as u64, Ordering::Relaxed);
-            }
         }
 
         if barrier {
-            // The flush gate: every core at the boundary AND every shard
-            // floor at (or past) it — only then is every event below the
-            // boundary guaranteed visible through the forwarding rings,
-            // so the sorted barrier service stays bit-identical to the
-            // sequential engine.
-            if locals.iter().all(|&l| l == window_end.as_u64()) && shardset.flushed_to(window_end) {
+            if locals.iter().all(|&l| l == window_end.as_u64()) {
                 {
                     let _span = ph.enter(ProfSite::ManagerDrain);
-                    shardset.drain_steady(shared, &mut gq, &mut drain_buf);
+                    drain_outqs(shared, &mut gq, &mut drain_buf);
                 }
                 {
                     let _span = ph.enter(ProfSite::ManagerService);
@@ -1868,8 +1368,6 @@ where
                             );
                         }
                     }
-                    shardset.pause(sched);
-                    shardset.drain_forward(&mut gq);
                     let captures = {
                         let _span = ph.enter(ProfSite::CheckpointCapture);
                         snapshot_all(
@@ -1884,8 +1382,6 @@ where
                             cp_delta,
                         )
                     };
-                    shardset.set_floors(g);
-                    shardset.resume(sched);
                     spec_stats.checkpoints += 1;
                     th.record(
                         Cycle::new(next_cp_trigger.min(g.as_u64())),
@@ -1921,7 +1417,6 @@ where
                         tracker.as_ref(),
                         &bound_trace,
                         max_spread,
-                        &shardset.paused_forwarded,
                         &mut th,
                         &mut metrics,
                         persist_bytes_id,
@@ -1974,18 +1469,15 @@ where
         if pending_rollback {
             let _span = ph.enter(ProfSite::CheckpointRestore);
             let snap = snapshot.as_mut().expect("rollback requires a snapshot");
-            shardset.pause(sched);
             stop_all(shared, cmd_txs, ack_rxs, sched);
             drain_outqs(shared, &mut gq, &mut drain_buf);
             gq.clear();
-            // Cores are stopped and shards paused (acks received), so the
-            // manager may act as the consumer of every ring during the
-            // wipe.
+            // Cores are stopped (ack received), so the manager may act as
+            // the consumer of both rings during the wipe.
             for s in shared {
                 s.inq.clear();
                 s.outq.clear();
             }
-            shardset.clear_forward();
             let cur_global = Cycle::new(
                 shared
                     .iter()
@@ -2060,10 +1552,8 @@ where
             next_cp_trigger = snap.global.as_u64() + cp_interval;
             pending_rollback = false;
             window_end = snap.global + 1;
-            shardset.set_floors(snap.global);
             publish_window(shared, window_end, sched);
             resume_all(shared, cmd_txs, sched);
-            shardset.resume(sched);
             backoff.reset();
             continue;
         }
@@ -2086,8 +1576,6 @@ where
             // to the capture site; the merge and persist below open their
             // own nested spans.
             let _span = ph.enter(ProfSite::CheckpointCapture);
-            shardset.pause(sched);
-            shardset.drain_forward(&mut gq);
             stop_all(shared, cmd_txs, ack_rxs, sched);
             let stop_at = shared
                 .iter()
@@ -2144,7 +1632,6 @@ where
                 // A violation surfaced during stop-sync: resume and let the
                 // rollback branch at the top of the loop handle it.
                 resume_all(shared, cmd_txs, sched);
-                shardset.resume(sched);
                 continue;
             }
             // Cores are paused right after their RunTo ack: snapshot them.
@@ -2209,7 +1696,6 @@ where
                 tracker.as_ref(),
                 &bound_trace,
                 max_spread,
-                &shardset.paused_forwarded,
                 &mut th,
                 &mut metrics,
                 persist_bytes_id,
@@ -2217,31 +1703,14 @@ where
             );
             locals.clear();
             locals.resize(n, stop_at);
-            shardset.set_floors(Cycle::new(stop_at));
-            window_end = publish_greedy_windows(
-                pacer,
-                shared,
-                &locals,
-                shardset.floor(&locals),
-                &mut cycles_buf,
-                cfg,
-                sched,
-            );
+            window_end =
+                publish_greedy_windows(pacer, shared, &locals, &mut cycles_buf, cfg, sched);
             resume_all(shared, cmd_txs, sched);
-            shardset.resume(sched);
             backoff.reset();
             continue;
         }
 
-        window_end = publish_greedy_windows(
-            pacer,
-            shared,
-            &locals,
-            shardset.floor(&locals),
-            &mut cycles_buf,
-            cfg,
-            sched,
-        );
+        window_end = publish_greedy_windows(pacer, shared, &locals, &mut cycles_buf, cfg, sched);
         if progress {
             // Something moved this iteration: go straight back to
             // draining instead of waiting.
@@ -2311,26 +1780,6 @@ where
         "core_parks",
         shared.iter().map(|s| s.parks.load(Ordering::Relaxed)).sum(),
     );
-    if !shardset.is_empty() {
-        kernel.set("shards", shardset.shards.len() as u64 + 1);
-        kernel.set(
-            "shard_forwarded_total",
-            shardset.resume_base
-                + shardset
-                    .shards
-                    .iter()
-                    .map(|sh| sh.forwarded.load(Ordering::Relaxed))
-                    .sum::<u64>(),
-        );
-        kernel.set(
-            "shard_parks",
-            shardset
-                .shards
-                .iter()
-                .map(|sh| sh.parks.load(Ordering::Relaxed))
-                .sum(),
-        );
-    }
     if let Some(tr) = &tracker {
         kernel.set("intervals_total", tr.intervals_total());
         kernel.set("intervals_violating", tr.intervals_violating());
@@ -2364,7 +1813,6 @@ fn invoke_save_hook<C, U>(
     tracker: Option<&IntervalTracker>,
     bound_trace: &[(Cycle, u64)],
     max_spread: u64,
-    shard_forwarded: &[u64],
     th: &mut TraceHandle,
     metrics: &mut MetricsRegistry,
     persist_bytes_id: GaugeId,
@@ -2394,7 +1842,6 @@ fn invoke_save_hook<C, U>(
         rng: None,
         bound_trace,
         max_spread,
-        shard_forwarded: shard_forwarded.to_vec(),
     };
     let bytes = hook(&view).unwrap_or(0);
     th.record(
@@ -2421,23 +1868,17 @@ fn publish_window<C: CoreModel + Checkpointable>(
 
 /// Publishes windows for a greedy scheme: per-core when the pacer paces
 /// against peers (Lax-P2P), uniform otherwise; both clamped by the
-/// implementation lead cap. `floor` is the slack floor the windows pace
-/// against — the exact global minimum under a single manager, the
-/// reconciled per-shard floor under a manager tree (which also bounds
-/// forwarding-ring growth: no core may lead an unforwarded event by more
-/// than the window). Returns the largest published window for the
+/// implementation lead cap. Returns the largest published window for the
 /// manager's bookkeeping.
-#[allow(clippy::too_many_arguments)]
 fn publish_greedy_windows<C: CoreModel + Checkpointable>(
     pacer: &mut Box<dyn Pacer>,
     shared: &[Arc<CoreShared<C>>],
     locals: &[u64],
-    floor: Cycle,
     cycles_buf: &mut Vec<Cycle>,
     cfg: &EngineConfig,
     sched: &dyn HostSched,
 ) -> Cycle {
-    let global = floor;
+    let global = Cycle::new(locals.iter().copied().min().expect("n >= 1"));
     let cap = cfg.lead_cap(global);
     cycles_buf.clear();
     cycles_buf.extend(locals.iter().map(|&l| Cycle::new(l)));

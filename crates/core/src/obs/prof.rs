@@ -74,13 +74,10 @@ pub enum ProfSite {
     /// The batched engine's quantum-boundary resolution: staged cross-core
     /// events serviced in timestamp order.
     BatchedResolve = 15,
-    /// A shard-manager thread forwarding its cores' events toward the
-    /// root (threaded engine with `shards > 1`).
-    ShardService = 16,
 }
 
 /// Number of profiling sites (length of [`ProfSite::ALL`]).
-pub const SITE_COUNT: usize = 17;
+pub const SITE_COUNT: usize = 16;
 
 impl ProfSite {
     /// Every site, in index order.
@@ -101,7 +98,6 @@ impl ProfSite {
         ProfSite::Export,
         ProfSite::BatchedRun,
         ProfSite::BatchedResolve,
-        ProfSite::ShardService,
     ];
 
     /// Stable kebab-case name used in tables, CSV and heartbeat JSON.
@@ -123,7 +119,6 @@ impl ProfSite {
             ProfSite::Export => "export",
             ProfSite::BatchedRun => "batched-run",
             ProfSite::BatchedResolve => "batched-resolve",
-            ProfSite::ShardService => "shard-service",
         }
     }
 

@@ -5,7 +5,7 @@
 //!
 //! ```text
 //! magic    [u8; 8]  b"SLAKSNAP"
-//! version  u32      format version (2 baseline, 3 with shard section)
+//! version  u32      format version (currently 2)
 //! fp_len   u32      length of the config-fingerprint string
 //! fp       [u8]     UTF-8 fingerprint: benchmark/scheme/cores/seed/cp-mode
 //! len      u64      payload length in bytes
@@ -28,13 +28,8 @@ use std::time::Duration;
 
 /// File magic identifying a slacksim snapshot container.
 pub const MAGIC: [u8; 8] = *b"SLAKSNAP";
-/// Baseline container format version (no shard section in the payload).
+/// Current container format version.
 pub const FORMAT_VERSION: u32 = 2;
-/// Container format version whose payload ends with a per-shard section
-/// (threaded engine with `shards > 1`). Writers use it only when the
-/// section is present, so single-manager snapshots stay byte-identical
-/// to version-2 files; readers accept both.
-pub const FORMAT_VERSION_SHARDED: u32 = 3;
 
 /// Everything that can go wrong while persisting or restoring a snapshot.
 #[derive(Debug)]
@@ -73,7 +68,7 @@ impl fmt::Display for PersistError {
             PersistError::UnsupportedVersion(v) => {
                 write!(
                     f,
-                    "unsupported snapshot format version {v} (this build reads {FORMAT_VERSION}..={FORMAT_VERSION_SHARDED})"
+                    "unsupported snapshot format version {v} (this build reads {FORMAT_VERSION})"
                 )
             }
             PersistError::Truncated => write!(f, "snapshot file is truncated"),
@@ -267,20 +262,11 @@ impl<'a> ByteReader<'a> {
     }
 }
 
-/// Wrap a payload in the baseline (version-2) snapshot container.
+/// Wrap a payload in the versioned snapshot container.
 pub fn encode_container(fingerprint: &str, payload: &[u8]) -> Vec<u8> {
-    encode_container_versioned(FORMAT_VERSION, fingerprint, payload)
-}
-
-/// Wrap a payload in a snapshot container stamped with an explicit format
-/// version. Callers pick [`FORMAT_VERSION_SHARDED`] only when the payload
-/// actually carries the shard section, so older builds refuse the file
-/// with a clear version error instead of a trailing-bytes corruption.
-pub fn encode_container_versioned(version: u32, fingerprint: &str, payload: &[u8]) -> Vec<u8> {
-    debug_assert!((FORMAT_VERSION..=FORMAT_VERSION_SHARDED).contains(&version));
     let mut out = Vec::with_capacity(32 + fingerprint.len() + payload.len());
     out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&version.to_le_bytes());
+    out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
     out.extend_from_slice(&(fingerprint.len() as u32).to_le_bytes());
     out.extend_from_slice(fingerprint.as_bytes());
     out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
@@ -301,7 +287,7 @@ pub fn decode_container(bytes: &[u8]) -> Result<(&str, &[u8]), PersistError> {
         return Err(PersistError::BadMagic);
     }
     let version = r.u32()?;
-    if !(FORMAT_VERSION..=FORMAT_VERSION_SHARDED).contains(&version) {
+    if version != FORMAT_VERSION {
         return Err(PersistError::UnsupportedVersion(version));
     }
     let fp = std::str::from_utf8(r.bytes()?)
@@ -459,20 +445,6 @@ mod tests {
                 Ok(_) => panic!("truncated container at {cut} decoded successfully"),
             }
         }
-    }
-
-    #[test]
-    fn sharded_container_version_round_trips() {
-        let payload = b"payload with shard section";
-        let bytes = encode_container_versioned(FORMAT_VERSION_SHARDED, "fp", payload);
-        assert_eq!(bytes[8..12], FORMAT_VERSION_SHARDED.to_le_bytes());
-        let (fp, body) = decode_container(&bytes).unwrap();
-        assert_eq!(fp, "fp");
-        assert_eq!(body, payload);
-        // The baseline writer still stamps version 2 so single-manager
-        // snapshots stay byte-identical across this format extension.
-        let base = encode_container("fp", payload);
-        assert_eq!(base[8..12], FORMAT_VERSION.to_le_bytes());
     }
 
     #[test]

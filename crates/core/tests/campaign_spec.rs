@@ -214,6 +214,16 @@ fn corrupted_specs_are_rejected_with_enumerated_errors() {
             |_| r#"{"v":1,"commit":0,"axes":{"scheme":["cc"],"workload":["fft"]}}"#.to_string(),
             "at least 1",
         ),
+        (
+            // The retired manager-tree axis is no longer a sweep axis.
+            |rng| {
+                let n = 1 + rng.next_below(8);
+                format!(
+                    r#"{{"v":1,"commit":5,"engine":"threaded","axes":{{"scheme":["cc"],"workload":["fft"],"shards":[{n}]}}}}"#
+                )
+            },
+            "unknown sweep-spec field 'axes.shards'",
+        ),
     ];
     for case in 0..CASES {
         let mut rng = Xoshiro256::new(0x5EED_0004 + case);

@@ -5,7 +5,7 @@
 //! slacksim [--benchmark barnes|fft|lu|water] [--scheme cc|bounded|unbounded|quantum|adaptive|p2p]
 //!          [--bound N] [--quantum N] [--target PCT] [--band PCT]
 //!          [--engine seq|threaded|batched] [--uncore bus|directory]
-//!          [--cores N] [--shards N] [--commit N] [--seed N]
+//!          [--cores N] [--commit N] [--seed N]
 //!          [--checkpoint N] [--checkpoint-mode full|delta] [--rollback all|map|none]
 //!          [--save-state DIR] [--resume FILE]
 //!          [--verbose] [--trace OUT.json] [--metrics OUT.csv] [--sample-every CYCLES]
@@ -42,7 +42,6 @@ const VALUE_FLAGS: &[&str] = &[
     "--engine",
     "--uncore",
     "--cores",
-    "--shards",
     "--commit",
     "--seed",
     "--checkpoint",
@@ -60,6 +59,15 @@ const VALUE_FLAGS: &[&str] = &[
 
 /// Flags that stand alone.
 const BOOL_FLAGS: &[&str] = &["--verbose", "--help", "-h", "--profile", "--live-stderr"];
+
+/// Scheme parameter flags and the `--scheme` values that read them.
+const SCHEME_FLAGS: &[(&str, &[&str])] = &[
+    ("--bound", &["bounded", "p2p"]),
+    ("--quantum", &["quantum"]),
+    ("--target", &["adaptive"]),
+    ("--band", &["adaptive"]),
+    ("--period", &["p2p"]),
+];
 
 /// Value flags of the `sweep` subcommand.
 const SWEEP_VALUE_FLAGS: &[&str] = &[
@@ -235,6 +243,17 @@ fn main() {
             "unknown scheme '{other}' (expected cc|bounded|unbounded|quantum|adaptive|p2p)"
         )),
     };
+    // A scheme parameter the chosen scheme never reads would be silently
+    // dropped (`--scheme quantum --bound 5` would run quantum-50).
+    let scheme_name = args.value("--scheme").unwrap_or("cc");
+    for (flag, readers) in SCHEME_FLAGS {
+        if args.has(flag) && !readers.contains(&scheme_name) {
+            usage_error(&format!(
+                "{flag} is not read by --scheme {scheme_name} (only by --scheme {})",
+                readers.join("|")
+            ));
+        }
+    }
     let engine = match args.value("--engine").unwrap_or("seq") {
         "seq" | "sequential" => EngineKind::Sequential,
         "threaded" | "thr" => EngineKind::Threaded,
@@ -249,16 +268,6 @@ fn main() {
             "--engine batched requires --scheme quantum (got '{name}'): the \
              quantum-compiled loop only resolves cross-core events at quantum \
              boundaries"
-        ));
-    }
-
-    // The manager tree is a property of the threaded engine's host-side
-    // consolidation; accepting it elsewhere would silently do nothing.
-    let shards = args.parsed_nonzero("--shards", 1) as usize;
-    if shards > 1 && engine != EngineKind::Threaded {
-        usage_error(&format!(
-            "--shards {shards} requires --engine threaded (the manager tree only \
-             exists in the threaded engine)"
         ));
     }
 
@@ -292,7 +301,6 @@ fn main() {
         .engine(engine)
         .uncore(uncore)
         .cores(cores)
-        .shards(shards)
         .commit_target(args.parsed("--commit", 500_000))
         .seed(args.parsed("--seed", 1));
     let select = match args.value("--rollback") {
@@ -1001,8 +1009,7 @@ USAGE:
   slacksim sweep --dir DIR            # resume from DIR's campaign manifest
 
 A sweep spec is one JSON document describing a {scheme x bound x quantum
-x uncore x cores x shards x workload x seed} grid plus shared per-job
-settings:
+x uncore x cores x workload x seed} grid plus shared per-job settings:
 
   {
     \"v\": 1,
@@ -1019,15 +1026,12 @@ settings:
       \"uncore\":   [\"bus\"],                 bus|directory, default [\"bus\"]
       \"cores\":    [2],                     1..=16 (bus) / 1..=1024 (directory),
                                            default [8]
-      \"shards\":   [1],                     threaded manager-tree widths; values
-                                           above 1 require \"engine\":\"threaded\"
-                                           (default [1])
       \"workload\": [\"fft\", \"water\"],        barnes|fft|lu|water
       \"seed\":     [1, 2]                   default [1]
     }
   }
 
-The grid is the full cartesian product of the eight axes. Every cores
+The grid is the full cartesian product of the seven axes. Every cores
 value must fit the most restrictive uncore on the axis (the product
 pairs each with each). Jobs run on a
 work-stealing pool (--workers, else the spec's, else host parallelism);
@@ -1073,7 +1077,7 @@ USAGE:
   slacksim [--benchmark barnes|fft|lu|water] [--scheme cc|bounded|unbounded|quantum|adaptive|p2p]
            [--bound N] [--quantum N] [--target PCT] [--band PCT] [--period N]
            [--engine seq|threaded|batched] [--uncore bus|directory]
-           [--cores N] [--shards N] [--commit N] [--seed N]
+           [--cores N] [--commit N] [--seed N]
            [--checkpoint INTERVAL] [--checkpoint-mode full|delta]
            [--rollback all|map|none] [--save-state DIR] [--resume FILE]
            [--verbose]
@@ -1095,13 +1099,6 @@ ENGINES:
                         cross-core events only at quantum boundaries;
                         bit-identical to seq but much faster, requires
                         --scheme quantum
-  --shards N            threaded engine only: split the manager into N
-                        shard managers, each consolidating a contiguous
-                        slice of the cores and publishing a minimum-time
-                        floor the root reconciles; a host-throughput knob
-                        for large core counts — simulated results are
-                        identical for every N (default 1, the classic
-                        single-manager loop; clamped to the core count)
 
 UNCORE:
   --uncore bus          the paper's split request/response snooping bus:
@@ -1173,7 +1170,7 @@ LIVE TELEMETRY:
 CAMPAIGNS:
   slacksim sweep --spec FILE --dir DIR
                         expand FILE's {scheme x bound x quantum x uncore x
-                        cores x shards x workload x seed} grid and run every job on a
+                        cores x workload x seed} grid and run every job on a
                         work-stealing host pool, with durable per-job
                         checkpoints and streamed aggregation into DIR;
                         rerun with --dir alone to resume after a crash
@@ -1189,7 +1186,6 @@ REPORT:
 EXAMPLES:
   slacksim --benchmark barnes --scheme unbounded --engine threaded
   slacksim --uncore directory --cores 64 --benchmark fft --scheme bounded --bound 8
-  slacksim --uncore directory --cores 64 --engine threaded --shards 4 --scheme bounded
   slacksim --benchmark fft --scheme quantum --quantum 50 --engine batched
   slacksim --scheme adaptive --target 0.2 --band 5
   slacksim --scheme bounded --bound 16 --checkpoint 5000 --rollback all --verbose

@@ -112,7 +112,6 @@ pub struct Simulation {
     seed: u64,
     max_burst: u64,
     max_lead: u64,
-    shards: usize,
     speculation: Option<SpeculationConfig>,
     obs: Option<ObsConfig>,
     profile: bool,
@@ -136,7 +135,6 @@ impl Simulation {
             seed: 1,
             max_burst: 16,
             max_lead: 256,
-            shards: 1,
             speculation: None,
             obs: None,
             profile: false,
@@ -212,19 +210,6 @@ impl Simulation {
     /// greedy schemes (see `EngineConfig::max_lead`).
     pub fn max_lead(&mut self, cycles: u64) -> &mut Self {
         self.max_lead = cycles;
-        self
-    }
-
-    /// Sets the threaded engine's manager-tree width: `shards` manager
-    /// threads each consolidating a contiguous slice of the target cores,
-    /// with the root (shard 0, folded into the manager thread)
-    /// reconciling per-shard minimum times. `1` (the default) runs the
-    /// classic single-manager loop unchanged; values above the core count
-    /// are clamped. A host knob only — simulated results are identical
-    /// for every value — so it is ignored by the other engines and
-    /// excluded from snapshot fingerprints.
-    pub fn shards(&mut self, shards: usize) -> &mut Self {
-        self.shards = shards.max(1);
         self
     }
 
@@ -327,15 +312,7 @@ impl Simulation {
         Some(Box::new(
             move |view: &CheckpointView<'_, CmpCore, CmpUncore>| {
                 let payload = snapshot::encode_snapshot(view);
-                // Version 3 only when the payload actually carries the
-                // shard section; single-manager snapshots keep writing
-                // byte-identical version-2 containers.
-                let version = if view.shard_forwarded.is_empty() {
-                    persist::FORMAT_VERSION
-                } else {
-                    persist::FORMAT_VERSION_SHARDED
-                };
-                let bytes = persist::encode_container_versioned(version, &fingerprint, &payload);
+                let bytes = persist::encode_container(&fingerprint, &payload);
                 let path = snapshot::checkpoint_path(&dir, view.ordinal);
                 match persist::write_atomic(&path, &bytes) {
                     Ok(()) => {
@@ -384,7 +361,6 @@ impl Simulation {
         cfg.seed = self.seed;
         cfg.burst = BurstPolicy::new(self.max_burst);
         cfg.max_lead = self.max_lead;
-        cfg.shards = self.shards;
         cfg.speculation = self.speculation;
         cfg.obs = self.obs;
         if self.profile {

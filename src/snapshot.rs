@@ -153,16 +153,6 @@ pub(crate) fn encode_snapshot(view: &CheckpointView<'_, CmpCore, CmpUncore>) -> 
         w.u64(bound);
     }
     w.u64(view.max_spread);
-    // Shard section (container format version 3): per-shard forwarded
-    // counters from the threaded manager tree. Omitted entirely — not
-    // written as a zero-length list — when the run has no remote shards,
-    // so `--shards 1` snapshots stay byte-identical to version-2 files.
-    if !view.shard_forwarded.is_empty() {
-        w.u32(view.shard_forwarded.len() as u32);
-        for &f in &view.shard_forwarded {
-            w.u64(f);
-        }
-    }
     w.into_bytes()
 }
 
@@ -233,18 +223,6 @@ pub(crate) fn decode_snapshot(
         bound_trace.push((Cycle::new(r.u64()?), r.u64()?));
     }
     let max_spread = r.u64()?;
-    // Optional shard section: present only in sharded (version-3)
-    // snapshots, so its absence is detected by payload exhaustion.
-    let shard_forwarded = if r.remaining() > 0 {
-        let k = r.u32()? as usize;
-        let mut fwd = Vec::with_capacity(k.min(1 << 16));
-        for _ in 0..k {
-            fwd.push(r.u64()?);
-        }
-        fwd
-    } else {
-        Vec::new()
-    };
     r.finish()?;
     Ok(EngineResume {
         global,
@@ -261,6 +239,5 @@ pub(crate) fn decode_snapshot(
         rng,
         bound_trace,
         max_spread,
-        shard_forwarded,
     })
 }

@@ -22,6 +22,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 struct CountingAlloc;
 
@@ -45,6 +46,16 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// The counter is process-wide and the test harness runs tests on
+/// parallel threads, so each test holds this lock for its whole
+/// measurement; otherwise one test's allocations land in the other's
+/// deltas.
+static MEASURE: Mutex<()> = Mutex::new(());
+
+fn exclusive_counter() -> MutexGuard<'static, ()> {
+    MEASURE.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn allocs_for_run(
     engine: slacksim::EngineKind,
@@ -77,6 +88,7 @@ fn steady_delta(engine: slacksim::EngineKind, scheme: &slacksim::scheme::Scheme)
 fn threaded_manager_loop_is_allocation_free_at_steady_state() {
     use slacksim::scheme::Scheme;
     use slacksim::EngineKind;
+    let _counter = exclusive_counter();
 
     // Cycle-by-cycle: both engines do bit-identical simulation work, so
     // the model-side allocation growth cancels out of the comparison.
@@ -113,7 +125,7 @@ fn allocs_for_instrumented_run(
     scheme: slacksim::scheme::Scheme,
     commit: u64,
 ) -> u64 {
-    use std::sync::{Arc, Mutex};
+    use std::sync::Arc;
     // Pre-reserved so appending beats never grows the capture buffer —
     // the quantity under test is the engine's and emitter's steady
     // state, not the sink's.
@@ -165,6 +177,7 @@ fn steady_delta_instrumented(
 fn profiling_and_live_emission_are_allocation_free_at_steady_state() {
     use slacksim::scheme::Scheme;
     use slacksim::EngineKind;
+    let _counter = exclusive_counter();
 
     for engine in [EngineKind::Sequential, EngineKind::Threaded] {
         let plain = steady_delta(engine, &Scheme::CycleByCycle);

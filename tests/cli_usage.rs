@@ -179,34 +179,6 @@ fn out_of_range_cores_fail_with_exit_2_not_a_panic() {
 }
 
 #[test]
-fn shards_outside_the_threaded_engine_are_rejected() {
-    // Default engine is sequential: a bare --shards must refuse rather
-    // than silently run unsharded.
-    let out = slacksim(&["--shards", "4"]);
-    assert_usage_error(&out, &["--shards 4 requires --engine threaded"]);
-    let out = slacksim(&[
-        "--engine", "batched", "--scheme", "quantum", "--shards", "2",
-    ]);
-    assert_usage_error(&out, &["--shards 2 requires --engine threaded"]);
-    let out = slacksim(&["--engine", "threaded", "--shards", "0"]);
-    assert_usage_error(&out, &["--shards must be at least 1 (got 0)"]);
-}
-
-#[test]
-fn sharded_threaded_run_succeeds_and_help_documents_shards() {
-    let out = slacksim(&[
-        "--engine", "threaded", "--shards", "2", "--cores", "4", "--commit", "2000",
-    ]);
-    assert!(out.status.success(), "stderr: {}", stderr(&out));
-    assert!(!stdout(&out).is_empty(), "report printed to stdout");
-    let help = slacksim(&["--help"]);
-    assert!(
-        stdout(&help).contains("--shards N"),
-        "help documents --shards"
-    );
-}
-
-#[test]
 fn unknown_uncore_enumerates_accepted_values() {
     let out = slacksim(&["--uncore", "ring"]);
     assert_usage_error(&out, &["ring", "bus|directory"]);
@@ -317,8 +289,11 @@ fn small_delta_mode_run_succeeds() {
 
 #[test]
 fn unknown_flag_is_rejected() {
-    let out = slacksim(&["--frobnicate"]);
-    assert_usage_error(&out, &["unknown argument '--frobnicate'"]);
+    // The second flag is the retired threaded manager-tree width.
+    for flag in ["--frobnicate".to_string(), ["--", "shards"].concat()] {
+        let out = slacksim(&[&flag, "2"]);
+        assert_usage_error(&out, &[&format!("unknown argument '{flag}'")]);
+    }
 }
 
 #[test]
@@ -366,6 +341,28 @@ fn degenerate_adaptive_target_and_band_are_rejected() {
     for bad in ["-1", "nan", "-inf"] {
         let out = slacksim(&["--scheme", "adaptive", "--band", bad]);
         assert_usage_error(&out, &["--band must be a finite percentage >= 0"]);
+    }
+}
+
+#[test]
+fn scheme_flags_the_chosen_scheme_never_reads_are_rejected() {
+    // Each flag is read by a fixed set of schemes; anywhere else it would
+    // be dropped silently (quantum with --bound 5 would run quantum-50).
+    let cases = [
+        ("quantum", "--bound", "5"),
+        ("cc", "--bound", "8"),
+        ("unbounded", "--bound", "8"),
+        ("adaptive", "--bound", "8"),
+        ("bounded", "--quantum", "100"),
+        ("p2p", "--quantum", "100"),
+        ("bounded", "--target", "0.3"),
+        ("quantum", "--band", "5"),
+        ("adaptive", "--period", "7"),
+        ("bounded", "--period", "7"),
+    ];
+    for (scheme, flag, value) in cases {
+        let out = slacksim(&["--scheme", scheme, flag, value]);
+        assert_usage_error(&out, &[&format!("{flag} is not read by --scheme {scheme}")]);
     }
 }
 
@@ -614,6 +611,11 @@ fn sweep_bad_grid_values_are_rejected_with_enumerated_errors() {
             r#"{"v":1,"commit":100,"axes":{"scheme":["cc"],"workload":["fft"],"uncore":["bus","directory"],"cores":[64]}}"#,
             &["64", "bus", "out of range"],
         ),
+        (
+            // The retired threaded manager-tree axis.
+            r#"{"v":1,"commit":100,"engine":"threaded","axes":{"scheme":["cc"],"workload":["fft"],"shards":[1,4]}}"#,
+            &["axes.shards"],
+        ),
     ];
     let dir = sweep_scratch("badgrid");
     for (i, (spec, expect)) in cases.iter().enumerate() {
@@ -626,6 +628,19 @@ fn sweep_bad_grid_values_are_rejected_with_enumerated_errors() {
             "--dir",
             dir.join(format!("camp-{i}")).to_str().unwrap(),
         ]);
+        assert_sweep_error(&out, expect);
+
+        // The same spec stored in a campaign directory's manifest is
+        // refused on resume with the same diagnostic.
+        let camp = dir.join(format!("stored-{i}"));
+        std::fs::create_dir_all(&camp).unwrap();
+        let escaped = spec.replace('\\', "\\\\").replace('"', "\\\"");
+        std::fs::write(
+            camp.join("manifest.json"),
+            format!(r#"{{"v":1,"total":1,"canonical":"c","spec":"{escaped}"}}"#),
+        )
+        .unwrap();
+        let out = slacksim(&["sweep", "--dir", camp.to_str().unwrap()]);
         assert_sweep_error(&out, expect);
     }
     let _ = std::fs::remove_dir_all(&dir);
