@@ -14,6 +14,22 @@ cargo test --workspace -q --offline
 echo "==> cargo test -q --release"
 cargo test --workspace -q --release --offline
 
+echo "==> perfbench digests (benchmark workloads stay bit-identical)"
+# The benchmark's own correctness check: each perfbench workload's
+# simulated-result digest for seeds 0-2 must equal its line in
+# perfbench/digests.txt, so a change meant to move only host time cannot
+# move a simulated result unnoticed. Then perfbench's own test suite.
+while read -r workload seed _; do
+    want="$(grep -E "^$workload $seed " perfbench/digests.txt)"
+    got="$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml \
+        -- --workload "$workload" --seed "$seed" --print-digest)"
+    [ "$got" = "$want" ] || {
+        echo "ci: perfbench digest mismatch: want '$want', got '$got'" >&2
+        exit 1
+    }
+done < <(grep -E '^[a-z0-9_]+ [0-2] ' perfbench/digests.txt)
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> conformance smoke (adversarial schedules, bounded seeds)"
 # Bounded-time schedule-fuzzing pass: the virtual-scheduler matrix from
 # crates/conformance runs in release with a pinned seed count per

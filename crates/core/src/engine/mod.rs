@@ -1,7 +1,7 @@
 //! Execution engines: the machinery that drives target models under a
 //! slack scheme.
 //!
-//! The kernel is generic over the simulated hardware through two traits:
+//! The engines are generic over the simulated hardware through two traits:
 //!
 //! * [`CoreModel`] — one instance per target core, advanced cycle by cycle
 //!   by its (logical or physical) core thread;
@@ -9,7 +9,10 @@
 //!   levels, interconnect, synchronisation device), advanced by the
 //!   simulation manager as events arrive.
 //!
-//! Three engines execute the same semantics:
+//! The manager's role — violation accounting, adaptive sampling,
+//! checkpointing, rollback, instrumentation and the final report — is
+//! written once, in the engine kernel (DESIGN §19). Three stepping
+//! strategies drive it:
 //!
 //! * [`SequentialEngine`] runs everything
 //!   on the calling thread, emulating host-scheduling nondeterminism with a
@@ -26,7 +29,10 @@
 //!   §15).
 
 mod batched;
+mod kernel;
 mod sequential;
+#[cfg(test)]
+mod testkit;
 mod threaded;
 
 pub use batched::BatchedEngine;

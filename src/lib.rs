@@ -495,6 +495,17 @@ mod tests {
     }
 
     #[test]
+    fn batched_engine_rejects_a_greedy_scheme_with_a_config_error() {
+        let err = Simulation::new(Benchmark::Fft)
+            .engine(EngineKind::Batched)
+            .scheme(Scheme::BoundedSlack { bound: 16 })
+            .run()
+            .expect_err("the batched engine needs a barrier scheme");
+        assert!(matches!(err, EngineError::Config(_)), "{err}");
+        assert!(err.to_string().contains("bounded-slack"), "{err}");
+    }
+
+    #[test]
     fn directory_uncore_runs_past_the_bus_cap() {
         let report = Simulation::new(Benchmark::Fft)
             .uncore(UncoreKind::Directory)

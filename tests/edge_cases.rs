@@ -2,7 +2,7 @@
 //! core counts, extreme bounds and intervals, and tiny commit targets.
 
 use slacksim::scheme::{AdaptiveConfig, Scheme};
-use slacksim::{Benchmark, Simulation, SpeculationConfig, ViolationSelect};
+use slacksim::{Benchmark, EngineKind, Simulation, SpeculationConfig, ViolationSelect};
 
 #[test]
 fn single_core_runs_under_every_scheme() {
@@ -57,15 +57,40 @@ fn two_and_sixteen_core_targets_work() {
 
 #[test]
 fn tiny_commit_targets_finish_immediately() {
-    for target in [1u64, 7] {
-        let r = Simulation::new(Benchmark::Fft)
-            .commit_target(target)
-            .run()
-            .expect("run succeeds");
-        assert!(r.committed >= target);
+    for target in [0u64, 1, 7] {
+        let run = |engine: EngineKind| {
+            Simulation::new(Benchmark::Fft)
+                .engine(engine)
+                .commit_target(target)
+                .run()
+                .expect("run succeeds")
+        };
+        let seq = run(EngineKind::Sequential);
+        assert!(seq.committed >= target);
         // A tiny run must not spin forever: the I-cache warms within a few
         // hundred cycles.
-        assert!(r.global_cycles < 10_000);
+        assert!(seq.global_cycles < 10_000);
+        for engine in [EngineKind::Batched, EngineKind::Threaded] {
+            let r = run(engine);
+            assert_eq!(r.global_cycles, seq.global_cycles, "{engine:?} {target}");
+            assert_eq!(r.committed, seq.committed, "{engine:?} {target}");
+            if target == 0 {
+                // Nothing runs, so every engine reports the same kernel
+                // counters, the threaded engine's host-wait counts aside.
+                let simulated = |r: &slacksim::SimReport| -> Vec<(&str, u64)> {
+                    r.kernel
+                        .iter()
+                        .filter(|(name, _)| !name.ends_with("_parks"))
+                        .collect()
+                };
+                assert_eq!(simulated(&r), simulated(&seq), "{engine:?}");
+                assert_eq!(r.kernel.get("manager_parks"), 0, "{engine:?}");
+            }
+        }
+        if target == 0 {
+            assert_eq!(seq.global_cycles, 0);
+            assert_eq!(seq.kernel.get("finish_commit_target"), 1);
+        }
     }
 }
 

@@ -292,3 +292,36 @@ fn save_state_prunes_older_checkpoints() {
     assert_eq!(survivors[0].path(), snap);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn threaded_resume_at_commit_zero_reports_the_snapshot_state() {
+    // A resumed snapshot already past a zero commit target finishes at
+    // once, on every engine, reporting the restored state.
+    let (dir, snap) = persisted_snapshot("commit0");
+    let resume_at_zero = |engine: &str| {
+        let out = slacksim(&[
+            "--scheme",
+            "cc",
+            "--cores",
+            "2",
+            "--commit",
+            "0",
+            "--checkpoint",
+            "500",
+            "--engine",
+            engine,
+            "--resume",
+            snap.to_str().unwrap(),
+        ]);
+        assert!(out.status.success(), "{engine} resume exits 0");
+        outcome_lines(&out)
+    };
+    let seq = resume_at_zero("seq");
+    assert!(
+        seq.iter()
+            .any(|l| l.starts_with("committed") && !l.contains(": 0 ")),
+        "the snapshot's commits are reported: {seq:?}"
+    );
+    assert_eq!(resume_at_zero("threaded"), seq);
+    let _ = std::fs::remove_dir_all(&dir);
+}
