@@ -14,6 +14,8 @@
 //! memory reply would delay an unrelated earlier-ready transfer), which
 //! the target's split-transaction bus does not have.
 
+use std::collections::VecDeque;
+
 use slacksim_core::checkpoint::Checkpointable;
 use slacksim_core::persist::{ByteReader, ByteWriter, PersistError};
 use slacksim_core::time::Cycle;
@@ -26,9 +28,10 @@ pub(crate) struct SlotCalendar {
     pub(crate) occupancy: u64,
     /// Reservation starts, ascending and duplicate-free. Arrivals are
     /// near-monotone, so inserts land at (or within a few elements of) the
-    /// tail — a sorted `Vec` beats a `BTreeSet` on both the binary-searched
-    /// conflict probe and the insert, with no per-node allocation.
-    reserved: Vec<u64>,
+    /// back, and pruning pops from the front: a ring buffer makes both
+    /// ends O(1), where a sorted `Vec` paid a whole-buffer shift on every
+    /// front removal.
+    reserved: VecDeque<u64>,
     horizon: u64,
 }
 
@@ -42,7 +45,7 @@ impl SlotCalendar {
         assert!(occupancy >= 1, "bus occupancy must be at least 1");
         SlotCalendar {
             occupancy,
-            reserved: Vec::new(),
+            reserved: VecDeque::new(),
             horizon: 0,
         }
     }
@@ -55,27 +58,28 @@ impl SlotCalendar {
         // or below `horizon`, so a request at `horizon + c` or later can
         // never overlap one — its slot is free by construction. Requests
         // arrive in near-monotone timestamp order on every engine's
-        // servicing path, so this branch takes the tree walk off the hot
+        // servicing path, so this branch takes the search off the hot
         // path entirely for uncontended traffic.
         if from >= self.horizon + c || self.reserved.is_empty() {
-            // Strictly past every existing start, so pushing keeps the Vec
-            // sorted.
-            self.reserved.push(from);
+            // Strictly past every existing start, so appending keeps the
+            // calendar sorted.
+            self.reserved.push_back(from);
             self.horizon = self.horizon.max(from);
             self.maybe_prune();
             return from;
         }
         let mut slot = from;
         let mut end = self.reserved.partition_point(|&r| r < slot + c);
-        loop {
-            // Any reservation r with r + c > slot and r < slot + c overlaps;
-            // the latest such r (if any) sits just before `end`.
-            match self.reserved[..end].last().copied() {
-                Some(r) if r + c > slot => {
-                    slot = r + c;
-                    end += self.reserved[end..].partition_point(|&r| r < slot + c);
-                }
-                _ => break,
+        // Any reservation r with r + c > slot and r < slot + c overlaps;
+        // the latest such r (if any) sits just before `end`.
+        while let Some(r) = end
+            .checked_sub(1)
+            .map(|i| self.reserved[i])
+            .filter(|&r| r + c > slot)
+        {
+            slot = r + c;
+            while self.reserved.get(end).is_some_and(|&r| r < slot + c) {
+                end += 1;
             }
         }
         self.reserved.insert(end, slot);
@@ -86,12 +90,15 @@ impl SlotCalendar {
 
     /// Drops reservations far enough behind the horizon that no future
     /// request can legitimately land among them (see [`PRUNE_WINDOW`]).
+    /// Past the 4096-entry trigger this runs on every reservation, so it
+    /// pops the (usually zero or one) expired entries off the front.
     #[inline]
     fn maybe_prune(&mut self) {
         if self.reserved.len() > 4096 {
             let cutoff = self.horizon.saturating_sub(PRUNE_WINDOW);
-            let keep_from = self.reserved.partition_point(|&r| r < cutoff);
-            self.reserved.drain(..keep_from);
+            while self.reserved.front().is_some_and(|&r| r < cutoff) {
+                self.reserved.pop_front();
+            }
         }
     }
 
@@ -116,8 +123,15 @@ impl SlotCalendar {
         if reserved.len() != n {
             return Err(PersistError::Corrupt("duplicate bus reservation slot"));
         }
+        // The horizon is the newest reservation (pruning never drops it),
+        // and the fast path in `reserve` relies on it.
+        if reserved.last().copied().unwrap_or(0) != horizon {
+            return Err(PersistError::Corrupt(
+                "bus reservation horizon is not the newest slot",
+            ));
+        }
         self.horizon = horizon;
-        self.reserved = reserved;
+        self.reserved = reserved.into();
         Ok(())
     }
 }
@@ -480,6 +494,186 @@ mod tests {
         assert_eq!(restored.arbitrate(ts(6)), live.arbitrate(ts(6)));
         let err = restored.load_state(&mut ByteReader::new(&bytes[..4]));
         assert!(err.is_err(), "truncation errors instead of panicking");
+    }
+
+    /// Replaces the leading empty calendar (horizon 0, no slots) of a
+    /// fresh model's bytes at `at` with `calendar`.
+    fn splice_calendar(fresh: &[u8], at: usize, calendar: &[u8]) -> Vec<u8> {
+        let empty = {
+            let mut w = ByteWriter::new();
+            SlotCalendar::new(1).save_state(&mut w);
+            w.into_bytes()
+        };
+        assert_eq!(&fresh[at..at + empty.len()], &empty[..]);
+        let mut bytes = fresh[..at].to_vec();
+        bytes.extend_from_slice(calendar);
+        bytes.extend_from_slice(&fresh[at + empty.len()..]);
+        bytes
+    }
+
+    #[test]
+    fn calendar_whose_horizon_is_not_the_newest_slot_is_corrupt() {
+        let corrupt = |e: Result<(), PersistError>| matches!(e, Err(PersistError::Corrupt(_)));
+        let mut w = ByteWriter::new();
+        w.u64(5); // horizon 5, but the newest slot is 100
+        w.u32(2);
+        w.u64(3);
+        w.u64(100);
+        let bad = w.into_bytes();
+        let mut w = ByteWriter::new();
+        w.u64(7); // horizon 7 with no slots
+        w.u32(0);
+        let empty_with_horizon = w.into_bytes();
+
+        let mut w = ByteWriter::new();
+        Bus::new(1, 1).save_state(&mut w);
+        let fresh_bus = w.into_bytes();
+        let mut w = ByteWriter::new();
+        crate::directory::Directory::new(4, 4).save_state(&mut w);
+        let fresh_dir = w.into_bytes();
+        // Control: the unpatched bytes load.
+        assert!(Bus::new(1, 1)
+            .load_state(&mut ByteReader::new(&fresh_bus))
+            .is_ok());
+        let mut dir = crate::directory::Directory::new(4, 4);
+        assert!(dir.load_state(&mut ByteReader::new(&fresh_dir)).is_ok());
+
+        for calendar in [&bad, &empty_with_horizon] {
+            let bytes = splice_calendar(&fresh_bus, 0, calendar);
+            assert!(corrupt(
+                Bus::new(1, 1).load_state(&mut ByteReader::new(&bytes))
+            ));
+            // The response calendar follows the request calendar's 12 bytes.
+            let bytes = splice_calendar(&fresh_bus, 12, calendar);
+            assert!(corrupt(
+                Bus::new(1, 1).load_state(&mut ByteReader::new(&bytes))
+            ));
+            // A directory bank's port calendar follows the u32 bank count.
+            let bytes = splice_calendar(&fresh_dir, 4, calendar);
+            let mut dir = crate::directory::Directory::new(4, 4);
+            assert!(corrupt(dir.load_state(&mut ByteReader::new(&bytes))));
+        }
+    }
+
+    /// The sorted-`Vec` calendar the ring-buffer one replaced, kept
+    /// verbatim as the reference model for the differential test below.
+    struct VecCalendar {
+        occupancy: u64,
+        reserved: Vec<u64>,
+        horizon: u64,
+    }
+
+    impl VecCalendar {
+        fn new(occupancy: u64) -> Self {
+            VecCalendar {
+                occupancy,
+                reserved: Vec::new(),
+                horizon: 0,
+            }
+        }
+
+        fn reserve(&mut self, from: u64) -> u64 {
+            let c = self.occupancy;
+            if from >= self.horizon + c || self.reserved.is_empty() {
+                self.reserved.push(from);
+                self.horizon = self.horizon.max(from);
+                self.maybe_prune();
+                return from;
+            }
+            let mut slot = from;
+            let mut end = self.reserved.partition_point(|&r| r < slot + c);
+            loop {
+                match self.reserved[..end].last().copied() {
+                    Some(r) if r + c > slot => {
+                        slot = r + c;
+                        end += self.reserved[end..].partition_point(|&r| r < slot + c);
+                    }
+                    _ => break,
+                }
+            }
+            self.reserved.insert(end, slot);
+            self.horizon = self.horizon.max(slot);
+            self.maybe_prune();
+            slot
+        }
+
+        fn maybe_prune(&mut self) {
+            if self.reserved.len() > 4096 {
+                let cutoff = self.horizon.saturating_sub(PRUNE_WINDOW);
+                let keep_from = self.reserved.partition_point(|&r| r < cutoff);
+                self.reserved.drain(..keep_from);
+            }
+        }
+
+        fn save_state(&self, w: &mut ByteWriter) {
+            w.u64(self.horizon);
+            w.u32(self.reserved.len() as u32);
+            for &slot in &self.reserved {
+                w.u64(slot);
+            }
+        }
+    }
+
+    #[test]
+    fn ring_calendar_matches_the_sorted_vec_calendar_step_for_step() {
+        use slacksim_core::rng::Xoshiro256;
+        // 210K reservations over the three occupancies.
+        const STEPS: u64 = 70_000;
+        for occupancy in 1..=3u64 {
+            let mut rng = Xoshiro256::new(0xCA1E_0000 + occupancy);
+            let mut new = SlotCalendar::new(occupancy);
+            let mut old = VecCalendar::new(occupancy);
+            // The request clock in eighths of a cycle.
+            let mut clock8 = 0u64;
+            // Mean clock advance per request, in eighths of a cycle. Dense
+            // phases keep ~4.8K reservations inside the prune window, so
+            // the prune runs on every reservation; sparse ones keep 1.4K-
+            // 2.7K, so the 4096-entry trigger decides when it runs.
+            let mut mean8 = 0;
+            let mut burst_left = 0;
+            let mut max_live = 0;
+            for step in 0..STEPS {
+                if step % 5_000 == 0 {
+                    mean8 = [27, 27, 48, 96][rng.next_below(4) as usize];
+                }
+                if burst_left > 0 {
+                    // Same-cycle burst: the clock stands still.
+                    burst_left -= 1;
+                } else {
+                    clock8 += rng.next_below(2 * mean8 + 1);
+                    match rng.next_below(2_000) {
+                        // Gap: an idle stretch of the bus.
+                        0 => clock8 += 8 * rng.next_range(100, 3_000),
+                        1..=100 => burst_left = rng.next_range(2, 8),
+                        _ => {}
+                    }
+                }
+                let clock = clock8 / 8;
+                let from = match rng.next_below(100) {
+                    // Straggler behind the prune window.
+                    0..=2 => old
+                        .horizon
+                        .saturating_sub(PRUNE_WINDOW + rng.next_range(0, 3_000)),
+                    // Straggler inside the window.
+                    3..=8 => old.horizon.saturating_sub(rng.next_below(PRUNE_WINDOW)),
+                    _ if burst_left > 0 => clock,
+                    // Near-monotone arrival with a little jitter.
+                    _ => clock.saturating_sub(rng.next_below(4)),
+                };
+                let (a, b) = (new.reserve(from), old.reserve(from));
+                assert_eq!(a, b, "occupancy {occupancy}, step {step}: reserve({from})");
+                assert_eq!(new.reserved.len(), old.reserved.len(), "step {step}");
+                assert_eq!(new.horizon, old.horizon, "step {step}");
+                max_live = max_live.max(new.reserved.len());
+                if step % 10_000 == 9_999 {
+                    let (mut wn, mut wo) = (ByteWriter::new(), ByteWriter::new());
+                    new.save_state(&mut wn);
+                    old.save_state(&mut wo);
+                    assert_eq!(wn.into_bytes(), wo.into_bytes(), "step {step}");
+                }
+            }
+            assert!(max_live > 4096, "occupancy {occupancy}: prune never ran");
+        }
     }
 
     #[test]

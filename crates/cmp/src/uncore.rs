@@ -61,7 +61,7 @@ pub struct CmpUncore {
 /// manager's global status map) or the sharded directory.
 #[derive(Debug, Clone)]
 enum Interconnect {
-    Bus { bus: Bus, map: CacheMap },
+    Bus { bus: Box<Bus>, map: CacheMap },
     Directory(Directory),
 }
 
@@ -144,7 +144,7 @@ impl CmpUncore {
         let u = &cfg.uncore;
         let interconnect = match cfg.uncore_kind {
             UncoreKind::Bus => Interconnect::Bus {
-                bus: Bus::new(u.req_bus_cycles, u.resp_bus_cycles),
+                bus: Box::new(Bus::new(u.req_bus_cycles, u.resp_bus_cycles)),
                 map: CacheMap::new(cfg.cores),
             },
             UncoreKind::Directory => {

@@ -121,20 +121,25 @@ fn cycle_by_cycle_is_exact_across_all_three_engines() {
 /// cores — barrier servicing defers every cross-core event to the quantum
 /// boundary and resolves in timestamp order, so collapsing the per-cycle
 /// dispatch into one `run_window` call per core must be invisible.
+/// Quanta 1 and 2 pin the sequential engine's width-1 rounds (every
+/// quantum-1 window, and the last cycle of every quantum-2 window) against
+/// batched's independent `run_window` stepping.
 #[test]
 fn quantum_is_exact_between_sequential_and_batched_engines() {
-    let scheme = Scheme::Quantum { quantum: 64 };
-    for bench in BENCHES {
-        for cores in CORE_COUNTS {
-            let seq = run_engine(bench, cores, &scheme, target(), 1, EngineKind::Sequential);
-            let bat = run_engine(bench, cores, &scheme, target(), 1, EngineKind::Batched);
-            assert_eq!(
-                fingerprint(&seq),
-                fingerprint(&bat),
-                "{bench}/{cores}c: sequential vs batched"
-            );
-            check_invariants(&bat, &scheme)
-                .unwrap_or_else(|e| panic!("{bench}/{cores}c batched: {e}"));
+    for quantum in [1, 2, 64] {
+        let scheme = Scheme::Quantum { quantum };
+        for bench in BENCHES {
+            for cores in CORE_COUNTS {
+                let seq = run_engine(bench, cores, &scheme, target(), 1, EngineKind::Sequential);
+                let bat = run_engine(bench, cores, &scheme, target(), 1, EngineKind::Batched);
+                assert_eq!(
+                    fingerprint(&seq),
+                    fingerprint(&bat),
+                    "{bench}/{cores}c/q{quantum}: sequential vs batched"
+                );
+                check_invariants(&bat, &scheme)
+                    .unwrap_or_else(|e| panic!("{bench}/{cores}c/q{quantum} batched: {e}"));
+            }
         }
     }
 }

@@ -237,49 +237,73 @@ where
                     return Err(EngineError::Stalled { at: global });
                 }
             } else {
-                // Burst-schedule one core: mostly the laggard (host-scheduler
-                // fairness), sometimes a random core (reordering noise).
-                let pick = if cfg.burst.lag_bias_percent > 0
-                    && rng.chance(u64::from(cfg.burst.lag_bias_percent), 100)
-                {
-                    runnable
-                        .iter()
-                        .copied()
-                        .min_by_key(|&i| locals[i])
-                        .expect("runnable not empty")
-                } else {
-                    runnable[rng.next_below(runnable.len() as u64) as usize]
-                };
-                let burst = rng.next_range(1, cfg.burst.max_burst);
-                let head = win_for(pick).saturating_sub(locals[pick]).min(burst);
-                let core = CoreId::new(pick as u16);
-                let traced = head > 0 && !k.replaying();
-                if head > 0 {
-                    at_serviced_boundary = false;
+                // Width-1 round: when every runnable core has one cycle
+                // left, global time cannot move until the last of them
+                // ticks, so the per-pick bookkeeping above would be a
+                // no-op; the picks run back to back instead, with the
+                // same draws, pick rule and trace records as one pick per
+                // iteration.
+                let round = barrier && runnable.iter().all(|&i| locals[i] + 1 == win);
+                if round && runnable.len() > 1 {
+                    // The skipped iterations would see mixed local clocks.
+                    k.max_spread = k.max_spread.max(1);
                 }
-                if traced {
-                    let phase = Phase::Run;
-                    k.th.record(locals[pick], TraceEvent::PhaseBegin { core, phase });
-                }
-                {
-                    let _span = ph.enter(ProfSite::CoreTick);
-                    for _ in 0..head {
-                        let mut ctx = TickCtx::new(locals[pick], &mut inboxes[pick], &mut outbox);
-                        committed += u64::from(cores[pick].tick(&mut ctx));
-                        locals[pick] += 1;
-                        if !barrier && committed >= cfg.commit_target {
-                            break;
-                        }
+                loop {
+                    // Burst-schedule one core: mostly the laggard
+                    // (host-scheduler fairness, the first on a tie),
+                    // sometimes a random core (reordering noise).
+                    let at = if cfg.burst.lag_bias_percent > 0
+                        && rng.chance(u64::from(cfg.burst.lag_bias_percent), 100)
+                    {
+                        (0..runnable.len())
+                            .min_by_key(|&j| locals[runnable[j]])
+                            .expect("runnable not empty")
+                    } else {
+                        rng.next_below(runnable.len() as u64) as usize
+                    };
+                    let pick = runnable[at];
+                    let burst = rng.next_range(1, cfg.burst.max_burst);
+                    let head = win_for(pick).saturating_sub(locals[pick]).min(burst);
+                    let core = CoreId::new(pick as u16);
+                    let traced = head > 0 && !k.replaying();
+                    if head > 0 {
+                        at_serviced_boundary = false;
                     }
-                    // One heap reserve + push per burst instead of per tick:
-                    // outbox order is generation order, and `push_batch`
-                    // assigns arrival sequence numbers in that order, so the
-                    // pop order is identical to pushing tick by tick.
-                    gq.push_batch(core, &mut outbox);
-                }
-                if traced {
-                    let phase = Phase::Run;
-                    k.th.record(locals[pick], TraceEvent::PhaseEnd { core, phase });
+                    if traced {
+                        let phase = Phase::Run;
+                        k.th.record(locals[pick], TraceEvent::PhaseBegin { core, phase });
+                    }
+                    {
+                        let _span = ph.enter(ProfSite::CoreTick);
+                        for _ in 0..head {
+                            let mut ctx =
+                                TickCtx::new(locals[pick], &mut inboxes[pick], &mut outbox);
+                            committed += u64::from(cores[pick].tick(&mut ctx));
+                            locals[pick] += 1;
+                            if !barrier && committed >= cfg.commit_target {
+                                break;
+                            }
+                        }
+                        // One heap reserve + push per burst instead of per
+                        // tick: outbox order is generation order, and
+                        // `push_batch` assigns arrival sequence numbers in
+                        // that order, so the pop order is identical to
+                        // pushing tick by tick.
+                        gq.push_batch(core, &mut outbox);
+                    }
+                    if traced {
+                        let phase = Phase::Run;
+                        k.th.record(locals[pick], TraceEvent::PhaseEnd { core, phase });
+                    }
+                    if !round {
+                        break;
+                    }
+                    // The picked core reached the window; the rest stay
+                    // in ascending order, as a rebuild would leave them.
+                    runnable.remove(at);
+                    if runnable.is_empty() {
+                        break;
+                    }
                 }
                 if !barrier {
                     let _span = ph.enter(ProfSite::ManagerService);
